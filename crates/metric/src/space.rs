@@ -92,6 +92,16 @@ pub trait Metric {
     fn is_empty(&self) -> bool {
         self.len() == 0
     }
+
+    /// Row-major point coordinates and their dimension, when the space is
+    /// Euclidean: `dist(i, j)` must then be the ℓ₂ distance of points `i`
+    /// and `j`, computed from coordinate differences (so within a few
+    /// ulps). Constructions may use the coordinates to prune candidate
+    /// pairs with a grid and still decide every pair by [`Metric::dist`].
+    /// The default, `None`, makes no such promise.
+    fn euclidean_coords(&self) -> Option<(&[f64], usize)> {
+        None
+    }
 }
 
 /// Whether a self-distance honours the exactness contract of
@@ -112,6 +122,9 @@ impl<M: Metric + ?Sized> Metric for &M {
     }
     fn dist(&self, i: usize, j: usize) -> f64 {
         (**self).dist(i, j)
+    }
+    fn euclidean_coords(&self) -> Option<(&[f64], usize)> {
+        (**self).euclidean_coords()
     }
 }
 
@@ -182,6 +195,10 @@ impl Metric for EuclideanSpace {
             .map(|(x, y)| (x - y) * (x - y))
             .sum::<f64>()
             .sqrt()
+    }
+
+    fn euclidean_coords(&self) -> Option<(&[f64], usize)> {
+        Some((&self.coords, self.dim))
     }
 }
 

@@ -401,6 +401,7 @@ pub struct BuildStats {
     /// [`BuildStats::absorb`] deliberately does not fold it.
     pub lint_clean: bool,
     phases: Vec<PhaseStat>,
+    counts: Vec<(String, u64)>,
 }
 
 impl BuildStats {
@@ -426,6 +427,16 @@ impl BuildStats {
             name: name.to_string(),
             duration,
         });
+    }
+
+    /// Records counter `name` (e.g. `"cover/hst_builds"`).
+    pub fn record_count(&mut self, name: &str, value: u64) {
+        self.counts.push((name.to_string(), value));
+    }
+
+    /// Value of counter `name`, if recorded.
+    pub fn count(&self, name: &str) -> Option<u64> {
+        self.counts.iter().find(|c| c.0 == name).map(|c| c.1)
     }
 
     /// The recorded phases, in execution order.
@@ -461,20 +472,25 @@ impl BuildStats {
         }
     }
 
-    /// Folds a sub-build's stats into this one: its phases are appended
-    /// under `prefix/` (or verbatim for an empty prefix) and its
-    /// tree/edge counters are added.
+    /// Folds a sub-build's stats into this one: its phases and named
+    /// counters are appended under `prefix/` (or verbatim for an empty
+    /// prefix) and its tree/edge counters are added.
     pub fn absorb(&mut self, prefix: &str, other: BuildStats) {
-        for p in other.phases {
-            let name = if prefix.is_empty() {
-                p.name
+        let named = |name: String| {
+            if prefix.is_empty() {
+                name
             } else {
-                format!("{prefix}/{}", p.name)
-            };
+                format!("{prefix}/{name}")
+            }
+        };
+        for p in other.phases {
             self.phases.push(PhaseStat {
-                name,
+                name: named(p.name),
                 duration: p.duration,
             });
+        }
+        for (name, value) in other.counts {
+            self.counts.push((named(name), value));
         }
         self.tree_count += other.tree_count;
         self.per_tree_spanner_edges
@@ -493,6 +509,9 @@ impl BuildStats {
                 p.name,
                 p.duration.as_secs_f64() * 1e3
             ));
+        }
+        for (name, value) in &self.counts {
+            out.push_str(&format!("  {name:<18} {value:>9}\n"));
         }
         out.push_str(&format!(
             "  workers={} trees={} tree-spanner edges={} edge instances={} after dedup={} (x{:.2}) lint_clean={}\n",
@@ -666,6 +685,7 @@ mod tests {
         sub.per_tree_spanner_edges = vec![5];
         sub.edge_instances = 5;
         sub.edges_after_dedup = 5;
+        sub.record_count("retries", 4);
         s.absorb("cover", sub);
 
         assert_eq!(s.phases().len(), 3);
@@ -678,5 +698,7 @@ mod tests {
         assert!((s.dedup_ratio() - 50.0 / 30.0).abs() < 1e-12);
         assert!(s.total_duration() >= Duration::from_millis(12));
         assert!(s.summary().contains("workers=4"));
+        assert_eq!(s.count("cover/retries"), Some(4));
+        assert_eq!(s.count("retries"), None);
     }
 }

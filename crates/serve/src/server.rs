@@ -25,7 +25,8 @@
 //!   thread; a best-effort `ERR_INTERNAL` frame is sent before close.
 //!
 //! "Never a hang": reads carry a socket timeout, so a half-dead peer
-//! cannot pin a connection thread past shutdown.
+//! cannot pin a connection thread past shutdown. Accepted sockets set
+//! `TCP_NODELAY`, so a reply never waits on the peer's next segment.
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -223,9 +224,9 @@ impl Server {
 /// Serves one connection until EOF, unrecoverable wire corruption,
 /// shutdown, or idle timeout. Panics inside are contained here.
 fn serve_connection(engine: &ShardedNavigator, mut stream: TcpStream, stop: &AtomicBool) {
-    // Timeout-setting failure means the socket is already dead;
+    // Option-setting failure means the socket is already dead;
     // nothing to serve.
-    if stream.set_read_timeout(Some(READ_TIMEOUT)).is_err() {
+    if configure_stream(&stream).is_err() {
         return;
     }
     let outcome = catch_unwind(AssertUnwindSafe(|| {
@@ -239,6 +240,16 @@ fn serve_connection(engine: &ShardedNavigator, mut stream: TcpStream, stop: &Ato
         let _best_effort = stream.write_all(&frame);
     }
     let _close = stream.shutdown(Shutdown::Both);
+}
+
+/// Sets an accepted socket's options: the read timeout, and
+/// `TCP_NODELAY`. Each reply leaves in one `write_all`, so Nagle's
+/// algorithm would only hold it back until the peer's next segment
+/// acknowledges the previous reply — a pipelined client then waits out
+/// its own send period.
+fn configure_stream(stream: &TcpStream) -> std::io::Result<()> {
+    stream.set_read_timeout(Some(READ_TIMEOUT))?;
+    stream.set_nodelay(true)
 }
 
 fn connection_loop(engine: &ShardedNavigator, stream: &mut TcpStream, stop: &AtomicBool) {
@@ -435,6 +446,17 @@ mod tests {
             self.pos += n;
             Ok(n)
         }
+    }
+
+    #[test]
+    fn accepted_streams_get_nodelay_and_a_read_timeout() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (accepted, _) = listener.accept().unwrap();
+        assert!(!accepted.nodelay().unwrap());
+        configure_stream(&accepted).unwrap();
+        assert!(accepted.nodelay().unwrap());
+        assert_eq!(accepted.read_timeout().unwrap(), Some(READ_TIMEOUT));
     }
 
     #[test]

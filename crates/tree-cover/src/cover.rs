@@ -73,6 +73,50 @@ impl fmt::Display for CoverError {
 
 impl std::error::Error for CoverError {}
 
+/// The exact distance extent of a metric: its smallest and largest
+/// pairwise distances (`(∞, 0)` for fewer than two points).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Extent {
+    pub dmin: f64,
+    pub dmax: f64,
+}
+
+/// Scans all pairs once for the distance extent, the input check every
+/// cover shares.
+///
+/// # Errors
+///
+/// [`CoverError::BadDistance`] for the first NaN, infinite or negative
+/// distance in row-major order (NaN slips past ordered comparisons and an
+/// infinite extent overflows every scale computation), otherwise
+/// [`CoverError::DuplicatePoints`] for the first zero-distance pair.
+pub(crate) fn scan_extent<M: Metric>(metric: &M) -> Result<Extent, CoverError> {
+    let n = metric.len();
+    let mut dmin = f64::INFINITY;
+    let mut dmax: f64 = 0.0;
+    let mut closest = (0usize, 0usize);
+    for i in 0..n {
+        for j in (i + 1)..n {
+            let d = metric.dist(i, j);
+            if !d.is_finite() || d < 0.0 {
+                return Err(CoverError::BadDistance { i, j, value: d });
+            }
+            if d < dmin {
+                dmin = d;
+                closest = (i, j);
+            }
+            dmax = dmax.max(d);
+        }
+    }
+    if dmin <= 0.0 {
+        return Err(CoverError::DuplicatePoints {
+            i: closest.0,
+            j: closest.1,
+        });
+    }
+    Ok(Extent { dmin, dmax })
+}
+
 /// A dominating tree for (a subset of) a metric space: an edge-weighted
 /// rooted tree whose vertices carry point ids, with one designated leaf
 /// per covered point, such that tree distances between leaves dominate the

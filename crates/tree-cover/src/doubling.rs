@@ -17,7 +17,7 @@ use std::collections::HashMap;
 use hopspan_metric::Metric;
 use hopspan_pipeline::BuildStats;
 
-use crate::cover::TreeAssembler;
+use crate::cover::{scan_extent, Extent, TreeAssembler};
 use crate::nets::{exp2, NetHierarchy};
 use crate::pairing::PairingCover;
 use crate::{CoverError, DominatingTree, TreeCover};
@@ -153,35 +153,9 @@ impl RobustTreeCover {
         // ⌊log₂ δ_min⌋. `period` extra levels below serve as companions.
         let workers = hopspan_pipeline::resolve_workers(workers);
         let mut stats = BuildStats::new(workers);
-        let scan = std::time::Instant::now();
-        let mut dmin = f64::INFINITY;
-        let mut dmax: f64 = 0.0;
-        let mut closest = (0usize, 0usize);
-        for i in 0..n {
-            for j in (i + 1)..n {
-                let d = metric.dist(i, j);
-                if !d.is_finite() || d < 0.0 {
-                    // NaN slips past both comparisons below and an
-                    // infinite dmax overflows the scale exponents; fail
-                    // typed before any arithmetic sees the value.
-                    return Err(CoverError::BadDistance { i, j, value: d });
-                }
-                if d < dmin {
-                    dmin = d;
-                    closest = (i, j);
-                }
-                dmax = dmax.max(d);
-            }
-        }
-        stats.record_phase("scan", scan.elapsed());
-        if dmin <= 0.0 {
-            // A zero-distance pair would send the scale computation below
-            // to log₂(0) = -∞; reject it with the dedicated error instead.
-            return Err(CoverError::DuplicatePoints {
-                i: closest.0,
-                j: closest.1,
-            });
-        }
+        // A zero-distance pair would send the scale computation below to
+        // log₂(0) = -∞; the scan rejects it, and bad distances, typed.
+        let Extent { dmin, dmax } = stats.phase("scan", || scan_extent(metric))?;
         let nets = stats.phase("nets", || {
             if n <= 1 || !dmin.is_finite() {
                 NetHierarchy::new(metric, 0, 0)

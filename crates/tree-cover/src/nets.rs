@@ -8,6 +8,7 @@
 
 use hopspan_metric::{exactly_zero, Metric};
 
+use crate::cover::{scan_extent, Extent};
 use crate::CoverError;
 
 /// One level of the hierarchy.
@@ -130,33 +131,7 @@ impl NetHierarchy {
         if n == 0 {
             return Err(CoverError::Empty);
         }
-        let mut dmin = f64::INFINITY;
-        let mut dmax: f64 = 0.0;
-        let mut closest = (0usize, 0usize);
-        for i in 0..n {
-            for j in (i + 1)..n {
-                let d = metric.dist(i, j);
-                // Reject NaN/∞/negative entries up front: an infinite
-                // dmax would overflow the i32 exponent arithmetic below,
-                // and NaN slips past every ordered comparison.
-                if !d.is_finite() || d < 0.0 {
-                    return Err(CoverError::BadDistance { i, j, value: d });
-                }
-                if d < dmin {
-                    dmin = d;
-                    closest = (i, j);
-                }
-                dmax = dmax.max(d);
-            }
-        }
-        if dmin <= 0.0 {
-            // log₂(0) below would underflow the scale range; report the
-            // zero-distance pair instead.
-            return Err(CoverError::DuplicatePoints {
-                i: closest.0,
-                j: closest.1,
-            });
-        }
+        let Extent { dmin, dmax } = scan_extent(metric)?;
         if n == 1 {
             // Single point: one trivial level.
             return NetHierarchy::new(metric, 0, 0);

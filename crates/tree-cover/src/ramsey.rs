@@ -13,12 +13,53 @@
 //! `Δ_t/(8ℓ)`, an expected `≈ n^{-1/ℓ}` fraction is padded per round,
 //! giving `ζ = Õ(ℓ·n^{1/ℓ})` trees. A star-tree fallback guarantees
 //! termination.
+//!
+//! # Cost
+//!
+//! One all-pairs scan per cover fixes the exact extent (`δ_min`, `δ_max`,
+//! which set every scale) and rejects bad or duplicate distances; every
+//! HST attempt — γ doubling makes about 20 per cover at n = 4096 — reuses
+//! it. An attempt then costs, per scale, a shuffle and two local steps,
+//! each making exactly the decisions of the all-pairs definition:
+//!
+//! * **Carving in rank order.** Point `x` joins the lowest-ranked point
+//!   of its cluster within `radius` (itself if none ranks lower). The
+//!   cluster is laid out in rank order once per scale (a counting pass
+//!   over the permutation), so the scan for `x` stops at the first point
+//!   within `radius` or on reaching `x`'s own rank; that first point *is*
+//!   the minimum. A center→slot array replaces the search for the group.
+//! * **Padding inside the cluster.** `x` stays padded while no point `y`
+//!   of another group lies within `pad_r = Δ/(8γ)`. Only `x`'s own
+//!   cluster can hold such a `y`: at the previous scale `2Δ`, `x` passed
+//!   the check with a radius `≥ pad_r` (`Δ` is the previous scale halved,
+//!   and rounding is monotone), so every point within `pad_r` of `x`
+//!   joined `x`'s group there, which is `x`'s cluster now; at the top
+//!   scale the cluster is everything. The argument uses only that `dist`
+//!   is a fixed function, not the triangle inequality, so it holds for
+//!   every [`Metric`]. Groups are compared through a group-id array.
+//!
+//!   For low-dimensional Euclidean inputs
+//!   ([`Metric::euclidean_coords`]) large clusters bucket their points
+//!   into cells of side `pad_r`, widened by a relative slack of 10⁻⁹ plus
+//!   eight ulps of the coordinate extent. That slack covers the rounding
+//!   of both the cell index and `dist`, so every `y` with
+//!   `dist(x, y) ≤ pad_r` lies in one of the 3^d cells around `x`'s;
+//!   each candidate is still decided by `dist(x, y) ≤ pad_r`.
+//!
+//! The rng is consumed exactly as by the all-pairs definition (one
+//! shuffle and one `gen` per scale), so covers are bit-identical to it —
+//! `tests/ramsey_pins.rs` pins them. Attempts that γ doubling rejects are
+//! never finished into trees. What remains quadratic is the one extent
+//! scan.
+
+use std::time::{Duration, Instant};
 
 use hopspan_metric::Metric;
+use hopspan_pipeline::BuildStats;
 use rand::seq::SliceRandom;
 use rand::Rng;
 
-use crate::cover::TreeAssembler;
+use crate::cover::{scan_extent, Extent, TreeAssembler};
 use crate::{CoverError, DominatingTree, TreeCover};
 
 /// A Ramsey `(O(ℓ), Õ(ℓ·n^{1/ℓ}))`-tree cover with per-point home trees.
@@ -51,9 +92,10 @@ impl RamseyTreeCover {
     ///
     /// # Errors
     ///
-    /// Returns [`CoverError::Empty`] for an empty metric or
-    /// [`CoverError::InvalidParameter`] for `ell = 0`; duplicate points
-    /// are rejected like in the other covers.
+    /// Returns [`CoverError::Empty`] for an empty metric,
+    /// [`CoverError::InvalidParameter`] for `ell = 0`,
+    /// [`CoverError::BadDistance`] for a NaN, infinite or negative
+    /// distance and [`CoverError::DuplicatePoints`] for coinciding points.
     pub fn new<M: Metric, R: Rng>(metric: &M, ell: usize, rng: &mut R) -> Result<Self, CoverError> {
         let n = metric.len();
         if n == 0 {
@@ -64,28 +106,15 @@ impl RamseyTreeCover {
                 what: "ell must be >= 1",
             });
         }
-        for i in 0..n {
-            for j in (i + 1)..n {
-                if metric.dist(i, j) <= 0.0 {
-                    return Err(CoverError::DuplicatePoints { i, j });
-                }
-            }
+        let mut carver = Carver::new(metric, scan_extent(metric)?);
+        if n == 1 {
+            return Ok(RamseyTreeCover::single(ell));
         }
         let mut home = vec![usize::MAX; n];
         let mut trees = Vec::new();
         let mut unassigned: Vec<usize> = (0..n).collect();
-        if n == 1 {
-            let mut asm = TreeAssembler::new();
-            let leaf = asm.add(0);
-            let t = asm.finish(leaf, 1);
-            return Ok(RamseyTreeCover {
-                cover: TreeCover::new(vec![t]),
-                home: vec![0],
-                ell,
-            });
-        }
         while !unassigned.is_empty() {
-            let (tree, padded) = build_hst(metric, ell as f64, rng, &unassigned);
+            let (hst, padded) = carver.build_hst(ell as f64, rng, &unassigned);
             if padded.is_empty() {
                 // Fallback: a star tree homes one point with stretch 1.
                 let center = unassigned[0];
@@ -108,7 +137,7 @@ impl RamseyTreeCover {
             for &p in &padded {
                 home[p] = idx;
             }
-            trees.push(tree);
+            trees.push(hst.finish(n));
             unassigned.retain(|&p| home[p] == usize::MAX);
         }
         Ok(RamseyTreeCover {
@@ -116,6 +145,17 @@ impl RamseyTreeCover {
             home,
             ell,
         })
+    }
+
+    /// The one-tree cover of a single point.
+    fn single(ell: usize) -> Self {
+        let mut asm = TreeAssembler::new();
+        let leaf = asm.add(0);
+        RamseyTreeCover {
+            cover: TreeCover::new(vec![asm.finish(leaf, 1)]),
+            home: vec![0],
+            ell,
+        }
     }
 
     /// Consumes the cover wrapper and returns the underlying tree cover.
@@ -140,6 +180,24 @@ impl RamseyTreeCover {
         budget: usize,
         rng: &mut R,
     ) -> Result<(Self, f64), CoverError> {
+        Self::with_tree_budget_with_stats(metric, budget, rng).map(|(c, gamma, _)| (c, gamma))
+    }
+
+    /// Like [`RamseyTreeCover::with_tree_budget`], with the build
+    /// telemetry returned alongside: phases `cover/extent` (the all-pairs
+    /// scan), `cover/pad` (the padding checks of every HST attempt) and
+    /// `cover/carve` (everything else: permutations, ball carving, tree
+    /// assembly), and the count `cover/hst_builds` (HSTs built, γ retries
+    /// included).
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`RamseyTreeCover::new`].
+    pub fn with_tree_budget_with_stats<M: Metric, R: Rng>(
+        metric: &M,
+        budget: usize,
+        rng: &mut R,
+    ) -> Result<(Self, f64, BuildStats), CoverError> {
         let n = metric.len();
         if n == 0 {
             return Err(CoverError::Empty);
@@ -149,25 +207,12 @@ impl RamseyTreeCover {
                 what: "budget must be >= 1",
             });
         }
-        for i in 0..n {
-            for j in (i + 1)..n {
-                if metric.dist(i, j) <= 0.0 {
-                    return Err(CoverError::DuplicatePoints { i, j });
-                }
-            }
-        }
+        let started = Instant::now();
+        let mut stats = BuildStats::new(1);
+        let extent = stats.phase("cover/extent", || scan_extent(metric))?;
+        let mut carver = Carver::new(metric, extent);
         if n == 1 {
-            let mut asm = TreeAssembler::new();
-            let leaf = asm.add(0);
-            let t = asm.finish(leaf, 1);
-            return Ok((
-                RamseyTreeCover {
-                    cover: TreeCover::new(vec![t]),
-                    home: vec![0],
-                    ell: budget,
-                },
-                1.0,
-            ));
+            return Ok((RamseyTreeCover::single(budget), 1.0, stats));
         }
         let mut home = vec![usize::MAX; n];
         let mut trees = Vec::new();
@@ -190,10 +235,10 @@ impl RamseyTreeCover {
             };
             let needed = u - keep_next.min(u.saturating_sub(1));
             let mut gamma = 1.0f64;
-            let (tree, padded) = loop {
-                let (tree, padded) = build_hst(metric, gamma, rng, &unassigned);
+            let (hst, padded) = loop {
+                let (hst, padded) = carver.build_hst(gamma, rng, &unassigned);
                 if padded.len() >= needed || gamma > 64.0 * n as f64 {
-                    break (tree, padded);
+                    break (hst, padded);
                 }
                 gamma *= 2.0;
             };
@@ -202,13 +247,19 @@ impl RamseyTreeCover {
             for &p in &padded {
                 home[p] = idx;
             }
-            trees.push(tree);
+            trees.push(hst.finish(n));
             unassigned.retain(|&p| home[p] == usize::MAX);
         }
         debug_assert!(
             unassigned.is_empty(),
             "a large enough padding parameter pads every point"
         );
+        let rest = started
+            .elapsed()
+            .saturating_sub(stats.total_duration() + carver.pad_time);
+        stats.record_phase("cover/carve", rest);
+        stats.record_phase("cover/pad", carver.pad_time);
+        stats.record_count("cover/hst_builds", carver.hst_builds);
         Ok((
             RamseyTreeCover {
                 cover: TreeCover::new(trees),
@@ -216,6 +267,7 @@ impl RamseyTreeCover {
                 ell: budget,
             },
             gamma_max,
+            stats,
         ))
     }
 
@@ -265,118 +317,388 @@ impl RamseyTreeCover {
     }
 }
 
-/// Builds one HST over **all** points via top-down random ball carving,
-/// and returns it with the list of `candidates` that were padded at every
-/// scale.
-fn build_hst<M: Metric, R: Rng>(
-    metric: &M,
-    gamma: f64,
-    rng: &mut R,
-    candidates: &[usize],
-) -> (DominatingTree, Vec<usize>) {
-    let n = metric.len();
-    let mut dmax: f64 = 0.0;
-    let mut dmin = f64::INFINITY;
-    for i in 0..n {
-        for j in (i + 1)..n {
-            let d = metric.dist(i, j);
-            dmax = dmax.max(d);
-            dmin = dmin.min(d);
+/// Marks an unset slot in the per-point index arrays.
+const UNSET: usize = usize::MAX;
+
+/// Clusters below this size check padding by scanning the cluster; the
+/// grid's sort and 3^d cell lookups only pay off above it.
+const GRID_MIN_CLUSTER: usize = 256;
+
+/// Highest dimension the padding grid handles (3^d neighbour cells).
+const GRID_MAX_DIM: usize = 3;
+
+/// Bits per axis of a packed cell key, and the finest cell count per
+/// axis: cells are never narrower than `extent / 2^20`, so indices stay
+/// below `2^21` (coarser cells only add candidates).
+const CELL_BITS: u32 = 21;
+const CELL_MAX: i64 = (1 << CELL_BITS) - 1;
+const FINEST_CELLS: f64 = (1u64 << 20) as f64;
+
+/// A cluster of one HST level: the range `start..end` of the layout
+/// array holding its points, its tree node and that node's height.
+struct Cluster {
+    node: usize,
+    start: usize,
+    end: usize,
+    height: f64,
+}
+
+impl Cluster {
+    fn len(&self) -> usize {
+        self.end - self.start
+    }
+}
+
+/// Coordinates of a low-dimensional Euclidean input, with the origin
+/// (per-axis minimum) and extent (largest offset from it) that size the
+/// padding grid's cells.
+#[derive(Clone, Copy)]
+struct GridFrame<'m> {
+    coords: &'m [f64],
+    dim: usize,
+    origin: [f64; GRID_MAX_DIM],
+    extent: f64,
+}
+
+impl<'m> GridFrame<'m> {
+    fn new<M: Metric>(metric: &'m M) -> Option<Self> {
+        let (coords, dim) = metric.euclidean_coords()?;
+        if dim == 0 || dim > GRID_MAX_DIM || coords.len() != metric.len() * dim {
+            return None;
+        }
+        let mut origin = [f64::INFINITY; GRID_MAX_DIM];
+        for p in coords.chunks_exact(dim) {
+            for (o, &c) in origin.iter_mut().zip(p) {
+                *o = o.min(c);
+            }
+        }
+        let mut extent: f64 = 0.0;
+        for p in coords.chunks_exact(dim) {
+            for (o, &c) in origin.iter().zip(p) {
+                extent = extent.max(c - o);
+            }
+        }
+        // Outside this range squared coordinate differences near a cell
+        // side could leave the normal floating-point range, where `dist`
+        // is no longer within a few ulps.
+        (1e-100..=1e100).contains(&extent).then_some(GridFrame {
+            coords,
+            dim,
+            origin,
+            extent,
+        })
+    }
+
+    /// Cell side for padding radius `pad_r`: `pad_r` widened by the
+    /// rounding slack of `dist` and of the cell index, and never finer
+    /// than `extent / 2^20`.
+    fn side(&self, pad_r: f64) -> f64 {
+        (pad_r * (1.0 + 1e-9) + 8.0 * f64::EPSILON * self.extent).max(self.extent / FINEST_CELLS)
+    }
+
+    /// Cell of point `p` along each axis.
+    fn cell(&self, p: usize, side: f64) -> [i64; GRID_MAX_DIM] {
+        let mut cell = [0i64; GRID_MAX_DIM];
+        for a in 0..self.dim {
+            let off = self.coords[p * self.dim + a] - self.origin[a];
+            cell[a] = ((off / side).floor() as i64).clamp(0, CELL_MAX);
+        }
+        cell
+    }
+
+    fn key(cell: &[i64; GRID_MAX_DIM]) -> u64 {
+        cell.iter().enumerate().fold(0u64, |k, (a, &c)| {
+            k | ((c as u64) << (CELL_BITS * a as u32))
+        })
+    }
+}
+
+/// The state one cover shares across its HST attempts: the metric, its
+/// extent, the optional padding grid, and the telemetry.
+struct Carver<'m, M> {
+    metric: &'m M,
+    extent: Extent,
+    grid: Option<GridFrame<'m>>,
+    pad_time: Duration,
+    hst_builds: u64,
+}
+
+/// An HST attempt, assembled but not yet finished into a tree: attempts
+/// that γ doubling rejects never pay for the tree's LCA structure.
+struct Hst {
+    asm: TreeAssembler,
+    root: usize,
+}
+
+impl Hst {
+    fn finish(self, n: usize) -> DominatingTree {
+        self.asm.finish(self.root, n)
+    }
+}
+
+impl<'m, M: Metric> Carver<'m, M> {
+    fn new(metric: &'m M, extent: Extent) -> Self {
+        Carver {
+            metric,
+            extent,
+            grid: GridFrame::new(metric),
+            pad_time: Duration::ZERO,
+            hst_builds: 0,
         }
     }
-    let mut asm = TreeAssembler::new();
-    let leaves: Vec<usize> = (0..n).map(|p| asm.add(p)).collect();
-    let mut padded: Vec<bool> = vec![false; n];
-    let mut is_candidate = vec![false; n];
-    for &c in candidates {
-        is_candidate[c] = true;
-        padded[c] = true;
-    }
-    // Top cluster: all points; height Δ₀ = dmax.
-    struct Cluster {
-        node: usize,
-        pts: Vec<usize>,
-        height: f64,
-    }
-    let root_node = asm.add(0);
-    let mut clusters = vec![Cluster {
-        node: root_node,
-        pts: (0..n).collect(),
-        height: dmax,
-    }];
-    let mut delta = dmax;
-    while delta > dmin / 2.0 && clusters.iter().any(|c| c.pts.len() > 1) {
-        delta /= 2.0;
-        // One global permutation and radius per scale (CKR).
-        let mut perm: Vec<usize> = (0..n).collect();
-        perm.shuffle(rng);
+
+    /// Builds one HST over **all** points via top-down random ball
+    /// carving, and returns it with the list of `candidates` that were
+    /// padded at every scale.
+    fn build_hst<R: Rng>(
+        &mut self,
+        gamma: f64,
+        rng: &mut R,
+        candidates: &[usize],
+    ) -> (Hst, Vec<usize>) {
+        self.hst_builds += 1;
+        let metric = self.metric;
+        let n = metric.len();
+        let mut asm = TreeAssembler::new();
+        // Leaf vertex `p` carries point `p`.
+        for p in 0..n {
+            asm.add(p);
+        }
+        let mut padded = vec![false; n];
+        for &c in candidates {
+            padded[c] = true;
+        }
+        // Top cluster: all points; height Δ₀ = dmax. Each scale's
+        // clusters own disjoint ranges of `layout`.
+        let root_node = asm.add(0);
+        let mut layout: Vec<usize> = (0..n).collect();
+        let mut clusters = vec![Cluster {
+            node: root_node,
+            start: 0,
+            end: n,
+            height: self.extent.dmax,
+        }];
+        let mut next = Vec::new();
+        let mut perm = vec![0usize; n];
         let mut rank = vec![0usize; n];
-        for (r, &p) in perm.iter().enumerate() {
-            rank[p] = r;
-        }
-        let radius = delta * (0.25 + 0.25 * rng.gen::<f64>());
-        let mut next_clusters = Vec::new();
-        for cl in clusters {
-            if cl.pts.len() == 1 {
-                // Attach the leaf directly under the cluster node.
-                let p = cl.pts[0];
-                asm.attach(leaves[p], cl.node, cl.height);
-                continue;
+        let mut cluster_of = vec![UNSET; n];
+        let mut by_rank = vec![0usize; n];
+        let mut cursor = Vec::new();
+        let mut slot_of = vec![0usize; n];
+        let mut slot_of_center = vec![UNSET; n];
+        let mut centers = Vec::new();
+        let mut bounds = Vec::new();
+        let mut group_of = vec![UNSET; n];
+        let mut scratch = vec![0usize; n];
+        let mut delta = self.extent.dmax;
+        while delta > self.extent.dmin / 2.0 && clusters.iter().any(|c| c.len() > 1) {
+            delta /= 2.0;
+            // One global permutation and radius per scale (CKR).
+            for (i, p) in perm.iter_mut().enumerate() {
+                *p = i;
             }
-            // Assign each point to the first permuted center within radius.
-            let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
-            for &x in &cl.pts {
-                let mut best_center = x;
-                let mut best_rank = rank[x];
-                for &c in &cl.pts {
-                    if rank[c] < best_rank && metric.dist(x, c) <= radius {
-                        best_center = c;
-                        best_rank = rank[c];
+            perm.shuffle(rng);
+            for (r, &p) in perm.iter().enumerate() {
+                rank[p] = r;
+            }
+            let radius = delta * (0.25 + 0.25 * rng.gen::<f64>());
+
+            // Lay every cluster out in rank order (`by_rank` mirrors the
+            // ranges of `layout`).
+            cursor.clear();
+            for (ci, cl) in clusters.iter().enumerate() {
+                cursor.push(cl.start);
+                for &p in &layout[cl.start..cl.end] {
+                    cluster_of[p] = ci;
+                }
+            }
+            for &p in &perm {
+                let ci = cluster_of[p];
+                if ci != UNSET {
+                    by_rank[cursor[ci]] = p;
+                    cursor[ci] += 1;
+                }
+            }
+            next.clear();
+            for cl in &clusters {
+                if cl.len() == 1 {
+                    // Attach the leaf directly under the cluster node.
+                    let p = layout[cl.start];
+                    asm.attach(p, cl.node, cl.height);
+                    cluster_of[p] = UNSET;
+                    continue;
+                }
+                // Each point joins the lowest-ranked center within
+                // radius; groups are numbered by first appearance.
+                centers.clear();
+                let by_rank = &by_rank[cl.start..cl.end];
+                for &x in &layout[cl.start..cl.end] {
+                    let center = by_rank
+                        .iter()
+                        .take_while(|&&c| rank[c] < rank[x])
+                        .find(|&&c| metric.dist(x, c) <= radius)
+                        .map_or(x, |&c| c);
+                    if slot_of_center[center] == UNSET {
+                        slot_of_center[center] = centers.len();
+                        centers.push(center);
                     }
+                    slot_of[x] = slot_of_center[center];
                 }
-                match groups.iter_mut().find(|(c, _)| *c == best_center) {
-                    Some((_, g)) => g.push(x),
-                    None => groups.push((best_center, vec![x])),
+                // Stable regroup of the range: groups in slot order,
+                // points in their previous order.
+                bounds.clear();
+                bounds.resize(centers.len() + 1, 0);
+                for &x in &layout[cl.start..cl.end] {
+                    bounds[slot_of[x] + 1] += 1;
+                }
+                bounds[0] = cl.start;
+                for s in 0..centers.len() {
+                    bounds[s + 1] += bounds[s];
+                }
+                for &x in &layout[cl.start..cl.end] {
+                    let s = slot_of[x];
+                    scratch[bounds[s]] = x;
+                    bounds[s] += 1;
+                }
+                layout[cl.start..cl.end].copy_from_slice(&scratch[cl.start..cl.end]);
+                let mut start = cl.start;
+                for (s, &c) in centers.iter().enumerate() {
+                    slot_of_center[c] = UNSET;
+                    let node = asm.add(c);
+                    asm.attach(node, cl.node, cl.height - delta);
+                    let end = bounds[s];
+                    for &x in &layout[start..end] {
+                        group_of[x] = next.len();
+                    }
+                    next.push(Cluster {
+                        node,
+                        start,
+                        end,
+                        height: delta,
+                    });
+                    start = end;
                 }
             }
+
             // Padding check for candidate points: the ball of radius
             // Δ/(8ℓ) must stay within the point's own group.
+            let started = Instant::now();
             let pad_r = delta / (8.0 * gamma);
-            for (c, g) in &groups {
-                let _ = c;
-                for &x in g {
-                    if is_candidate[x] && padded[x] {
-                        let ok = (0..n).all(|y| metric.dist(x, y) > pad_r || g.contains(&y));
-                        if !ok {
-                            padded[x] = false;
-                        }
+            for cl in clusters.iter().filter(|c| c.len() > 1) {
+                let members = &layout[cl.start..cl.end];
+                if !members.iter().any(|&x| padded[x]) {
+                    continue;
+                }
+                match self.grid {
+                    Some(grid) if members.len() >= GRID_MIN_CLUSTER => {
+                        pad_with_grid(metric, &grid, members, &group_of, &mut padded, pad_r);
                     }
+                    _ => pad_in_cluster(metric, members, &group_of, &mut padded, pad_r),
                 }
             }
-            for (c, g) in groups {
-                let node = asm.add(c);
-                asm.attach(node, cl.node, cl.height - delta);
-                next_clusters.push(Cluster {
-                    node,
-                    pts: g,
-                    height: delta,
-                });
+            self.pad_time += started.elapsed();
+            std::mem::swap(&mut clusters, &mut next);
+        }
+        // Attach remaining singleton clusters' leaves.
+        for cl in &clusters {
+            for &p in &layout[cl.start..cl.end] {
+                if asm.parent[p].is_none() {
+                    asm.attach(p, cl.node, cl.height);
+                }
             }
         }
-        clusters = next_clusters;
+        let out: Vec<usize> = candidates.iter().copied().filter(|&p| padded[p]).collect();
+        (
+            Hst {
+                asm,
+                root: root_node,
+            },
+            out,
+        )
     }
-    // Attach remaining singleton clusters' leaves.
-    for cl in clusters {
-        for &p in &cl.pts {
-            if asm.parent[leaves[p]].is_none() && leaves[p] != root_node {
-                asm.attach(leaves[p], cl.node, cl.height);
+}
+
+/// Whether `y` breaks `x`'s padding: another group, and not farther than
+/// `pad_r` (written so that a NaN distance breaks it too).
+#[inline]
+fn breaks_padding<M: Metric>(
+    metric: &M,
+    group_of: &[usize],
+    x: usize,
+    y: usize,
+    pad_r: f64,
+) -> bool {
+    group_of[y] != group_of[x] && {
+        let far = metric.dist(x, y) > pad_r;
+        !far
+    }
+}
+
+/// Padding check by scanning the cluster: exact because a point still
+/// padded has its whole `pad_r`-ball inside its cluster (module docs).
+fn pad_in_cluster<M: Metric>(
+    metric: &M,
+    members: &[usize],
+    group_of: &[usize],
+    padded: &mut [bool],
+    pad_r: f64,
+) {
+    for &x in members {
+        if padded[x]
+            && members
+                .iter()
+                .any(|&y| breaks_padding(metric, group_of, x, y, pad_r))
+        {
+            padded[x] = false;
+        }
+    }
+}
+
+/// Padding check through a grid over the cluster: only the 3^d cells
+/// around `x` can hold a point within `pad_r` (module docs).
+fn pad_with_grid<M: Metric>(
+    metric: &M,
+    grid: &GridFrame<'_>,
+    members: &[usize],
+    group_of: &[usize],
+    padded: &mut [bool],
+    pad_r: f64,
+) {
+    let side = grid.side(pad_r);
+    let mut cells: Vec<(u64, usize)> = members
+        .iter()
+        .map(|&p| (GridFrame::key(&grid.cell(p, side)), p))
+        .collect();
+    cells.sort_unstable();
+    let neighbours = 3usize.pow(grid.dim as u32);
+    for &x in members {
+        if !padded[x] {
+            continue;
+        }
+        let home = grid.cell(x, side);
+        'cells: for code in 0..neighbours {
+            let mut cell = home;
+            let mut rest = code;
+            for c in cell.iter_mut().take(grid.dim) {
+                *c += (rest % 3) as i64 - 1;
+                rest /= 3;
+            }
+            if cell.iter().any(|&c| !(0..=CELL_MAX).contains(&c)) {
+                continue;
+            }
+            let key = GridFrame::key(&cell);
+            let lo = cells.partition_point(|e| e.0 < key);
+            for &(k, y) in &cells[lo..] {
+                if k != key {
+                    break;
+                }
+                if breaks_padding(metric, group_of, x, y, pad_r) {
+                    padded[x] = false;
+                    break 'cells;
+                }
             }
         }
     }
-    // Root anchor: associate the root with some point.
-    let tree = asm.finish(root_node, n);
-    let out: Vec<usize> = candidates.iter().copied().filter(|&p| padded[p]).collect();
-    (tree, out)
 }
 
 #[cfg(test)]
@@ -510,5 +832,82 @@ mod tests {
         let m2 = hopspan_metric::EuclideanSpace::from_points(&[vec![0.0], vec![1.0]]);
         assert!(RamseyTreeCover::new(&m2, 0, &mut rng()).is_err());
         assert!(RamseyTreeCover::with_tree_budget(&m2, 0, &mut rng()).is_err());
+    }
+
+    /// A raw 4-point matrix with no validation, `d(1, 2) = d(2, 1) = bad`.
+    struct Raw(Vec<Vec<f64>>);
+
+    impl Metric for Raw {
+        fn len(&self) -> usize {
+            self.0.len()
+        }
+        fn dist(&self, i: usize, j: usize) -> f64 {
+            self.0[i][j]
+        }
+    }
+
+    fn four_points_with(bad: f64) -> Raw {
+        let mut d = vec![vec![1.0; 4]; 4];
+        for (i, row) in d.iter_mut().enumerate() {
+            row[i] = 0.0;
+        }
+        d[1][2] = bad;
+        d[2][1] = bad;
+        Raw(d)
+    }
+
+    /// Regression: an infinite distance made `with_tree_budget` loop
+    /// forever, a NaN was accepted, and a negative one was reported as
+    /// duplicate points. All three are bad distances now.
+    #[test]
+    fn bad_distances_are_rejected_typed() {
+        for bad in [f64::INFINITY, f64::NAN, -1.0] {
+            let m = four_points_with(bad);
+            let is_bad = |e: CoverError| matches!(e, CoverError::BadDistance { i: 1, j: 2, .. });
+            assert!(is_bad(RamseyTreeCover::new(&m, 2, &mut rng()).unwrap_err()));
+            assert!(is_bad(
+                RamseyTreeCover::with_tree_budget(&m, 3, &mut rng()).unwrap_err()
+            ));
+        }
+    }
+
+    #[test]
+    fn stats_name_every_phase() {
+        let m = gen::uniform_points(300, 2, &mut rng());
+        let (rc, gamma, stats) =
+            RamseyTreeCover::with_tree_budget_with_stats(&m, 3, &mut rng()).unwrap();
+        let (plain, plain_gamma) = RamseyTreeCover::with_tree_budget(&m, 3, &mut rng()).unwrap();
+        assert_eq!(gamma.to_bits(), plain_gamma.to_bits());
+        assert_eq!(rc.tree_count(), plain.tree_count());
+        for phase in ["cover/extent", "cover/carve", "cover/pad"] {
+            assert!(stats.phase_duration(phase).is_some(), "{phase} missing");
+        }
+        let builds = stats.count("cover/hst_builds").unwrap();
+        assert!(builds >= rc.tree_count() as u64, "{builds} HST builds");
+    }
+
+    /// The grid and the in-cluster scan decide padding identically,
+    /// lattice ties and cell-boundary coordinates included.
+    #[test]
+    fn grid_padding_matches_cluster_scan() {
+        use std::f64::consts::FRAC_1_SQRT_2;
+        let side = 24usize;
+        let lattice: Vec<Vec<f64>> = (0..side * side)
+            .map(|i| vec![(i % side) as f64 * 0.5, (i / side) as f64 * 0.5])
+            .collect();
+        let m = hopspan_metric::EuclideanSpace::from_points(&lattice);
+        let grid = GridFrame::new(&m).expect("2-D input gets a grid");
+        let members: Vec<usize> = (0..side * side).collect();
+        // Groups: 3×3 blocks of the lattice.
+        let group_of: Vec<usize> = (0..side * side)
+            .map(|i| (i % side) / 3 + 100 * ((i / side) / 3))
+            .collect();
+        for pad_r in [0.25, 0.5, 0.5 + 1e-12, FRAC_1_SQRT_2, 1.0, 1.5, 3.0] {
+            let mut scan = vec![true; side * side];
+            pad_in_cluster(&m, &members, &group_of, &mut scan, pad_r);
+            let mut gridded = vec![true; side * side];
+            pad_with_grid(&m, &grid, &members, &group_of, &mut gridded, pad_r);
+            assert_eq!(scan, gridded, "pad_r = {pad_r}");
+        }
     }
 }
