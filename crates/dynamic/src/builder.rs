@@ -1,52 +1,40 @@
 //! The background builder: waits for the mutation log to cross a
 //! rebuild threshold, cuts a consistent snapshot of the live point set,
-//! rebuilds the navigator off-lock (reusing unperturbed trees' spanners
-//! through the fingerprint cache), and swaps the new epoch in through
-//! the [`crate::epoch`] funnel. Queries never wait on a rebuild: they
-//! read the published epoch until the swap, which holds the write lock
-//! only for the `Arc` replacement.
+//! rebuilds the navigator from scratch off-lock, and swaps the new
+//! epoch in through the [`crate::epoch`] funnel. Queries never wait on
+//! a rebuild: they read the published epoch until the swap, which holds
+//! the write lock only for the `Arc` replacement.
 
-use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use hopspan_core::{MetricNavigator, NavigationError, SpannerParts};
-use hopspan_metric::{EuclideanSpace, Metric};
-use hopspan_tree_cover::RamseyTreeCover;
+use hopspan_core::{MetricNavigator, NavigationError};
+use hopspan_metric::EuclideanSpace;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 use crate::epoch::{BuildCut, Epoch, NO_DENSE};
-use crate::{lock_resilient, read_resilient, write_resilient, Inner};
+use crate::{lock_resilient, write_resilient, Inner};
 
 /// Pause after a contained rebuild failure before the next attempt, so
 /// a persistently failing build cannot spin the builder thread hot.
 const FAILURE_BACKOFF: Duration = Duration::from_millis(10);
 
-/// Builds one epoch over the cut's live point set. Deterministic and
-/// bit-identical to a from-scratch [`MetricNavigator::general_budgeted`]
-/// with the same seed over the same points: the rng is re-seeded from
-/// `cfg.seed` for every build, and the spanner cache can only substitute
-/// spanners that a fresh build would have produced anyway (see
-/// [`MetricNavigator::from_cover_reusing_with_stats`]).
+/// Builds one epoch over the cut's live point set: a
+/// [`MetricNavigator::general_budgeted`] build re-seeded from
+/// `cfg.seed`, so it equals a from-scratch build over the same points.
 pub(crate) fn build_epoch(
     cut: &BuildCut,
     cfg: &crate::DynConfig,
-    cache: &BTreeMap<u64, SpannerParts>,
 ) -> Result<Epoch, NavigationError> {
     let points: Vec<Vec<f64>> = cut.points.iter().map(|p| p.coords.clone()).collect();
     let metric = EuclideanSpace::from_points(&points);
-    let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
-    let (cover, gamma) = RamseyTreeCover::with_tree_budget(&metric, cfg.tree_budget, &mut rng)?;
-    let home: Vec<usize> = (0..metric.len()).map(|p| cover.home(p)).collect();
-    let (nav, _stats, reused) = MetricNavigator::from_cover_reusing_with_stats(
+    let (nav, gamma) = MetricNavigator::general_budgeted(
         &metric,
-        cover.into_cover().into_trees(),
-        Some(home),
+        cfg.tree_budget,
         cfg.k,
-        cfg.workers,
-        cache,
+        &mut ChaCha8Rng::seed_from_u64(cfg.seed),
     )?;
     let hx = hopspan_store::hx_hash(&nav);
     let max_ext = cut.points.iter().map(|p| p.ext).max().unwrap_or(0);
@@ -61,7 +49,6 @@ pub(crate) fn build_epoch(
         nav: Arc::new(nav),
         hx,
         gamma,
-        reused_trees: reused,
         dense_of_ext,
         ext_of_dense,
         seq: cut.seq,
@@ -70,10 +57,6 @@ pub(crate) fn build_epoch(
 
 /// The builder thread body: runs until shutdown is requested.
 pub(crate) fn run(inner: Arc<Inner>) {
-    let mut cache: BTreeMap<u64, SpannerParts> = {
-        let view = read_resilient(&inner.shared);
-        view.epoch.nav.spanner_cache()
-    };
     loop {
         // Wait for work (or shutdown) under the ledger mutex.
         let (cut, inject_failure) = {
@@ -101,11 +84,10 @@ pub(crate) fn run(inner: Arc<Inner>) {
                 // hopspan:allow(panic-in-lib) -- chaos injection: the kill-during-rebuild scenarios arm this deliberate panic to prove rebuild containment
                 panic!("chaos: injected rebuild failure");
             }
-            build_epoch(&cut, &inner.cfg, &cache)
+            build_epoch(&cut, &inner.cfg)
         }));
         match built {
             Ok(Ok(epoch)) => {
-                let next_cache = epoch.nav.spanner_cache();
                 let tree_count = epoch.nav.tree_count();
                 let covered_seq = epoch.seq;
                 let nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
@@ -118,7 +100,6 @@ pub(crate) fn run(inner: Arc<Inner>) {
                 ledger.commit(covered_seq, tree_count, nanos);
                 drop(view);
                 drop(ledger);
-                cache = next_cache;
                 inner
                     .epoch_id
                     .store(id, std::sync::atomic::Ordering::Relaxed);

@@ -4,23 +4,20 @@
 //! dense, zero-allocation layout — while a background builder thread
 //! applies a mutation log and swaps freshly built epochs in atomically.
 //!
-//! The design follows the paper's hierarchy-of-nets localization
-//! (§3–§5): a single mutation perturbs only the O(log Φ) net levels
-//! around the touched point, so most cover trees of the next epoch
-//! recur **shape-identically** and their Theorem 1.1 spanners are
-//! reused from a fingerprint cache instead of being rebuilt
-//! ([`MetricNavigator::from_cover_reusing_with_stats`]). Amortization à
-//! la the `DecrementalSpanner` blueprint: mutations bump per-tree dirty
+//! Every epoch is built by [`MetricNavigator::general_budgeted`] over
+//! the live point set with a fixed seed, so it is **bit-identical** to
+//! a from-scratch build over the same points, for any worker count —
+//! the per-epoch FNV-1a `H_X` hash ([`EpochInfo::hx`]) is the pinned
+//! witness. Nothing is carried over between epochs: the Ramsey carving
+//! is re-randomised over each new point set, so whole cover trees do
+//! not recur. What is amortized is how often a rebuild runs, à la the
+//! `DecrementalSpanner` blueprint: mutations bump per-tree dirty
 //! counters (keyed on the Ramsey home tree of the touched point), and a
 //! rebuild starts only when a counter crosses
 //! [`DynConfig::dirty_threshold`] or the global pending log crosses
 //! [`DynConfig::max_pending`].
 //!
-//! Determinism contract: every epoch's navigator is **bit-identical**
-//! to a from-scratch [`MetricNavigator::general_budgeted`] build over
-//! the same live point set with the same seed, for any worker count —
-//! the per-epoch FNV-1a `H_X` hash ([`EpochInfo::hx`]) is the pinned
-//! witness. Removed ids answer a typed
+//! Removed ids answer a typed
 //! [`NavigationError::PointRetired`] immediately (tombstones), and ids
 //! inserted after the last build cut answer
 //! [`NavigationError::PointOutOfRange`] until the next swap publishes
@@ -63,8 +60,6 @@ pub struct DynConfig {
     /// Pending-mutation count that triggers a rebuild regardless of
     /// per-tree locality, bounding worst-case staleness.
     pub max_pending: u64,
-    /// Worker threads for epoch builds (`None` = automatic).
-    pub workers: Option<usize>,
 }
 
 impl Default for DynConfig {
@@ -75,7 +70,6 @@ impl Default for DynConfig {
             seed: DEFAULT_SEED,
             dirty_threshold: 8,
             max_pending: 64,
-            workers: None,
         }
     }
 }
@@ -165,7 +159,9 @@ pub struct EpochInfo {
     pub published_points: usize,
     /// Cover trees of the epoch.
     pub tree_count: usize,
-    /// Trees whose spanner was reused from the previous epoch's cache.
+    /// Always 0: epochs are built from scratch and reuse no tree.
+    /// Kept only because the benchmark harness still reads it; remove
+    /// it at the next change to the benchmark.
     pub reused_trees: usize,
     /// Realized Ramsey padding parameter γ of the build.
     pub gamma: f64,
@@ -255,7 +251,7 @@ impl DynamicNavigator {
                 .collect(),
             seq: 0,
         };
-        let first = builder::build_epoch(&cut, &cfg, &std::collections::BTreeMap::new())?;
+        let first = builder::build_epoch(&cut, &cfg)?;
         let tree_count = first.nav.tree_count();
         let inner = Arc::new(Inner {
             cfg,
@@ -428,7 +424,7 @@ impl DynamicNavigator {
             hx: ep.hx,
             published_points: ep.ext_of_dense.len(),
             tree_count: ep.nav.tree_count(),
-            reused_trees: ep.reused_trees,
+            reused_trees: 0,
             gamma: ep.gamma,
             pending: ledger.pending(),
         }

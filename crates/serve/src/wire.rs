@@ -24,6 +24,10 @@
 //! a single write. With warmed buffers encoding performs no heap
 //! allocation.
 
+/// FNV-1a over a byte slice (the workspace golden-hash convention),
+/// shared with the snapshot store's checksum.
+pub use hopspan_store::fnv1a;
+
 use crate::{DegradeCode, FaultSet, MetricsSnapshot, Op, QueryOutcome, ServeError};
 
 /// Frame magic: `"HSPN"`.
@@ -185,16 +189,6 @@ impl std::fmt::Display for WireError {
 }
 
 impl std::error::Error for WireError {}
-
-/// FNV-1a over a byte slice (the workspace golden-hash convention).
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// A decoded frame: header fields plus a borrowed payload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

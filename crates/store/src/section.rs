@@ -10,8 +10,9 @@
 
 use crate::StoreError;
 
-/// FNV-1a over a byte slice — the workspace-standard checksum (same
-/// constants as the serve wire protocol and the chaos hasher).
+/// FNV-1a over a byte slice — the workspace-standard checksum and
+/// golden hash, re-exported by the serve wire protocol (the chaos
+/// crate's incremental hasher uses the same constants).
 #[must_use]
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;

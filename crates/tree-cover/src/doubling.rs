@@ -158,12 +158,12 @@ impl RobustTreeCover {
         let Extent { dmin, dmax } = stats.phase("scan", || scan_extent(metric))?;
         let nets = stats.phase("nets", || {
             if n <= 1 || !dmin.is_finite() {
-                NetHierarchy::new(metric, 0, 0)
+                NetHierarchy::new_scanned(metric, 0, 0)
             } else {
                 let low_main =
                     ((4.0 * eps * dmin).log2().floor() as i32).min(dmin.log2().floor() as i32 - 1);
                 let high = ((2.0 * eps * dmax).log2().ceil() as i32 + 1).max(low_main);
-                NetHierarchy::new(metric, low_main - period as i32, high)
+                NetHierarchy::new_scanned(metric, low_main - period as i32, high)
             }
         })?;
         let pairing = stats.phase("pairing", || PairingCover::new(metric, &nets, eps));

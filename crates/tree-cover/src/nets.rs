@@ -6,7 +6,7 @@
 //! `2^i`-net, for all scales `i` in a range wide enough for both the
 //! pairing covers and the pair-level equation (2) of the paper.
 
-use hopspan_metric::{exactly_zero, Metric};
+use hopspan_metric::Metric;
 
 use crate::cover::{scan_extent, Extent};
 use crate::CoverError;
@@ -44,6 +44,20 @@ impl NetHierarchy {
     /// distance, and [`CoverError::InvalidParameter`] for a reversed
     /// range.
     pub fn new<M: Metric>(metric: &M, low_exp: i32, high_exp: i32) -> Result<Self, CoverError> {
+        // The input check every cover shares: a bad distance (a NaN
+        // would poison every radius comparison) wins over a zero pair.
+        scan_extent(metric)?;
+        Self::new_scanned(metric, low_exp, high_exp)
+    }
+
+    /// [`NetHierarchy::new`] for a metric whose [`scan_extent`] the
+    /// caller has already run: checks only emptiness and the scale
+    /// range.
+    pub(crate) fn new_scanned<M: Metric>(
+        metric: &M,
+        low_exp: i32,
+        high_exp: i32,
+    ) -> Result<Self, CoverError> {
         let n = metric.len();
         if n == 0 {
             return Err(CoverError::Empty);
@@ -52,19 +66,6 @@ impl NetHierarchy {
             return Err(CoverError::InvalidParameter {
                 what: "low_exp > high_exp",
             });
-        }
-        for i in 0..n {
-            for j in (i + 1)..n {
-                let d = metric.dist(i, j);
-                // NaN fails `is_finite`; a plain `<= 0.0` would let it
-                // through and poison every radius comparison below.
-                if !d.is_finite() || d < 0.0 {
-                    return Err(CoverError::BadDistance { i, j, value: d });
-                }
-                if exactly_zero(d) {
-                    return Err(CoverError::DuplicatePoints { i, j });
-                }
-            }
         }
         let mut levels: Vec<NetLevel> = Vec::new();
         let mut nearest_net: Vec<Vec<usize>> = Vec::new();
@@ -134,11 +135,11 @@ impl NetHierarchy {
         let Extent { dmin, dmax } = scan_extent(metric)?;
         if n == 1 {
             // Single point: one trivial level.
-            return NetHierarchy::new(metric, 0, 0);
+            return NetHierarchy::new_scanned(metric, 0, 0);
         }
         let low = (4.0 * eps * dmin).log2().floor() as i32 - extra_low;
         let high = (2.0 * eps * dmax).log2().ceil() as i32 + 1;
-        NetHierarchy::new(metric, low.min(high), high)
+        NetHierarchy::new_scanned(metric, low.min(high), high)
     }
 
     /// Number of points in the underlying metric.
@@ -252,32 +253,38 @@ mod tests {
 
     #[test]
     fn rejects_non_finite_and_negative_distances() {
-        struct Bad(f64);
+        /// `d(0, 2)` is the bad value. `d(0, 1)` comes first in
+        /// row-major order; at 0 it is a duplicate pair, which must not
+        /// mask the bad distance.
+        struct Bad(f64, f64);
         impl hopspan_metric::Metric for Bad {
             fn len(&self) -> usize {
                 3
             }
             fn dist(&self, i: usize, j: usize) -> f64 {
-                if i == j {
-                    0.0
-                } else if i.min(j) == 0 && i.max(j) == 2 {
-                    self.0
-                } else {
-                    1.0
+                match (i.min(j), i.max(j)) {
+                    _ if i == j => 0.0,
+                    (0, 1) => self.1,
+                    (0, 2) => self.0,
+                    _ => 1.0,
                 }
             }
         }
+        fn rejected<T>(r: Result<T, CoverError>) -> bool {
+            matches!(r, Err(CoverError::BadDistance { i: 0, j: 2, .. }))
+        }
         for bad in [f64::NAN, f64::INFINITY, -1.0] {
-            // `for_epsilon` must reject before its exponent arithmetic
-            // (an ∞ diameter would overflow the i32 scale range).
-            assert!(matches!(
-                NetHierarchy::for_epsilon(&Bad(bad), 0.5, 2),
-                Err(CoverError::BadDistance { i: 0, j: 2, .. })
-            ));
-            assert!(matches!(
-                NetHierarchy::new(&Bad(bad), 0, 1),
-                Err(CoverError::BadDistance { i: 0, j: 2, .. })
-            ));
+            for d01 in [1.0, 0.0] {
+                let m = Bad(bad, d01);
+                // `for_epsilon` must reject before its exponent arithmetic
+                // (an ∞ diameter would overflow the i32 scale range).
+                assert!(rejected(NetHierarchy::for_epsilon(&m, 0.5, 2)));
+                assert!(rejected(NetHierarchy::new(&m, 0, 1)));
+                // The covers run the same input check.
+                let mut rng = <rand_chacha::ChaCha8Rng as rand::SeedableRng>::seed_from_u64(1);
+                assert!(rejected(crate::RamseyTreeCover::new(&m, 2, &mut rng)));
+                assert!(rejected(crate::RobustTreeCover::new(&m, 0.5)));
+            }
         }
     }
 }

@@ -17,6 +17,7 @@ use std::process::Command;
 
 use hopspan::core::MetricNavigator;
 use hopspan::metric::gen;
+use hopspan::store::fnv1a;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -43,18 +44,6 @@ fn serialize_edges(nav: &MetricNavigator) -> String {
         out.push_str(&format!("{u} {v} {:016x}\n", w.to_bits()));
     }
     out
-}
-
-/// FNV-1a, 64-bit — chosen because it is trivially portable and has no
-/// per-process seed (unlike `DefaultHasher`, whose output may legally
-/// differ between runs).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 #[test]

@@ -19,7 +19,7 @@ use std::process::Command;
 use hopspan::core::MetricNavigator;
 use hopspan::dynamic::{DynConfig, DynamicNavigator};
 use hopspan::metric::EuclideanSpace;
-use hopspan::store::hx_hash;
+use hopspan::store::{fnv1a, hx_hash};
 use proptest::prelude::*;
 use rand::Rng;
 use rand::SeedableRng;
@@ -176,15 +176,6 @@ fn serialize_storm() -> String {
     }
     out.push_str(&format!("L {:?}\n", nav.published_ids()));
     out
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 #[test]
